@@ -142,7 +142,7 @@ ConfigResult run_config(core::QueueKind kind, int npes,
                             npes / 1e6);
     out.search_ms_per_pe.add(static_cast<double>(r.total.search_time_ns) /
                              npes / 1e6);
-    out.tasks = r.total.tasks_executed;
+    out.tasks += r.total.tasks_executed;
     out.steals += r.total.steals_ok;
     out.steal_attempts += r.total.steal_attempts;
     out.tasks_stolen += r.total.tasks_stolen;
@@ -152,7 +152,7 @@ ConfigResult run_config(core::QueueKind kind, int npes,
     out.reexec_tasks += r.total.tasks_reexecuted;
     out.rerouted_tasks += r.total.tasks_rerouted;
     out.deaths += static_cast<std::uint64_t>(rt.fabric().num_dead());
-    out.total_compute_ns = r.total.compute_time_ns;
+    out.total_compute_ns += r.total.compute_time_ns;
     out.steal_latency.merge(r.total.steal_latency);
   }
   if (want_metrics) {

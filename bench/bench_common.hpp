@@ -65,7 +65,8 @@ struct BenchSettings {
   static BenchSettings from_options(const Options& opt);
 };
 
-/// One configuration's aggregation over repetitions.
+/// One configuration's aggregation over repetitions. Every count below is
+/// a sum over all repetitions.
 struct ConfigResult {
   Summary runtime_ms;        ///< whole-program time (max across PEs)
   Summary throughput;        ///< tasks per second
@@ -86,8 +87,10 @@ struct ConfigResult {
 
   double efficiency_pct(int npes) const {
     if (runtime_ms.mean() <= 0) return 0;
-    const double ideal_ms =
-        static_cast<double>(total_compute_ns) / npes / 1e6;
+    // runtime_ms holds one sample per repetition.
+    const double ideal_ms = static_cast<double>(total_compute_ns) /
+                            static_cast<double>(runtime_ms.count()) / npes /
+                            1e6;
     return 100.0 * ideal_ms / runtime_ms.mean();
   }
 };

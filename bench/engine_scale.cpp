@@ -8,7 +8,8 @@
 //
 // Output: one JSON object per (pes, engine_threads) config on stdout,
 // aligned human summary on stderr — scripts/bench_report.py folds the
-// JSON into BENCH_*.json.
+// JSON into BENCH_*.json. wall_s, tasks and steals are per-repetition
+// means over --reps.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -20,6 +21,7 @@ using namespace sws;
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   auto settings = bench::BenchSettings::from_options(opt);
+  std::cout.precision(12);  // means of large task counts print in full
   if (opt.get("pes", std::string("")).empty()) settings.pe_counts = {256, 1024};
 
   workloads::UtsParams p;
@@ -78,13 +80,16 @@ int main(int argc, char** argv) {
             return [uts](core::Worker& w) { uts->seed(w); };
           });
       const auto t1 = std::chrono::steady_clock::now();
-      const double wall_s = std::chrono::duration<double>(t1 - t0).count();
+      const double reps = settings.reps;
+      const double wall_s =
+          std::chrono::duration<double>(t1 - t0).count() / reps;
       if (threads == thread_counts.front()) base_wall = wall_s;
       std::cout << "{\"bench\":\"uts_e2e\",\"pes\":" << npes
                 << ",\"engine_threads\":" << threads
                 << ",\"wall_s\":" << wall_s
                 << ",\"virtual_ms\":" << r.runtime_ms.mean()
-                << ",\"tasks\":" << r.tasks << ",\"steals\":" << r.steals
+                << ",\"tasks\":" << static_cast<double>(r.tasks) / reps
+                << ",\"steals\":" << static_cast<double>(r.steals) / reps
                 << "}\n";
       std::cerr << "  uts_e2e P=" << npes << " T=" << threads << ": "
                 << wall_s << " s wall (x"

@@ -24,8 +24,6 @@ PoolRunReport aggregate_reports(const std::vector<WorkerStats>& per_pe) {
   for (const auto& w : per_pe) {
     r.total.merge(w);
     r.per_pe_executed.add(static_cast<double>(w.tasks_executed));
-    r.per_pe_steal_ms.add(static_cast<double>(w.steal_time_ns) / 1e6);
-    r.per_pe_search_ms.add(static_cast<double>(w.search_time_ns) / 1e6);
   }
   return r;
 }

@@ -45,15 +45,14 @@ struct WorkerStats {
   /// per-tier op mix the locality ablation compares across policies.
   std::array<std::uint64_t, net::kMaxTiers> steal_attempts_by_tier{};
   std::array<std::uint64_t, net::kMaxTiers> steals_ok_by_tier{};
-  net::Nanos steal_time_ns = 0;      ///< time in successful steal operations
-  net::Nanos search_time_ns = 0;     ///< failed attempts + inter-attempt backoff
-  net::Nanos term_check_ns = 0;      ///< time in termination detection
+  net::Nanos steal_time_ns = 0;      ///< §5.3: phase_ns[kStealing]
+  net::Nanos search_time_ns = 0;     ///< §5.3: phase_ns[kProbing + kParked]
   net::Nanos compute_time_ns = 0;    ///< task bodies (charged compute)
   net::Nanos run_time_ns = 0;        ///< this PE's whole-run time
   /// Exhaustive phase taxonomy (see PoolPhase): indexed by category, sums
   /// exactly to the elapsed time between run_pe entry and teardown
-  /// (`accounted_ns`). Unlike steal/search_time_ns above — which measure
-  /// only the op spans the paper plots — this covers *every* nanosecond.
+  /// (`accounted_ns`). The one per-PE time accounting: steal/search time
+  /// above are read off it.
   std::array<net::Nanos, kNumPoolPhases> phase_ns{};
   net::Nanos accounted_ns = 0;       ///< total span the taxonomy covers
   // Crash-recovery accounting (zero in crash-free runs).
@@ -80,7 +79,6 @@ struct WorkerStats {
     }
     steal_time_ns += o.steal_time_ns;
     search_time_ns += o.search_time_ns;
-    term_check_ns += o.term_check_ns;
     compute_time_ns += o.compute_time_ns;
     run_time_ns = run_time_ns > o.run_time_ns ? run_time_ns : o.run_time_ns;
     for (std::size_t i = 0; i < phase_ns.size(); ++i)
@@ -98,8 +96,6 @@ struct WorkerStats {
 struct PoolRunReport {
   WorkerStats total;             ///< sums (run_time = max across PEs)
   Summary per_pe_executed;       ///< load balance across PEs
-  Summary per_pe_steal_ms;
-  Summary per_pe_search_ms;
   int npes = 0;
 
   /// Approximate steal-latency quantile in nanoseconds (q in [0,1]).

@@ -435,7 +435,8 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
     if (acquired) continue;
 
     // Out of local and own-shared work: search the system. Successful
-    // attempts count as steal time, failures as search time (§5.3).
+    // attempts accrue as kStealing (steal time, §5.3); failed attempts and
+    // backoff as kProbing and kParked (search time).
     // kRetry failures get `retry_budget` fast retries paced by the
     // queue's hint; past that (and for empty victims) the pause grows
     // exponentially with jitter, and resets on the next search.
@@ -538,7 +539,6 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
                                                                      1)];
         victims->report(victim, res.outcome == StealOutcome::kSuccess);
         if (res.outcome == StealOutcome::kSuccess) {
-          w.stats_.steal_time_ns += dt;
           ++w.stats_.steals_ok;
           if (vtier >= 1)
             ++w.stats_.steals_ok_by_tier[static_cast<std::size_t>(vtier - 1)];
@@ -564,7 +564,6 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
           }
           break;  // back to processing
         }
-        w.stats_.search_time_ns += dt;
         hint = res.retry_after_ns;
         fast = res.outcome == StealOutcome::kRetry &&
                fast_retries < st.retry_budget;
@@ -580,10 +579,8 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
       }
 
       if (fails % st.term_check_interval == 0 || ctx.npes() == 1) {
-        const net::Nanos t0 = ctx.now();
         set_phase(PoolPhase::kIdleTerm);
         const bool finished = term_->check(ctx);
-        w.stats_.term_check_ns += ctx.now() - t0;
         if (tracer_.enabled())
           tracer_.record(ctx.pe(), ctx.now(), TraceKind::kTermCheck,
                          finished ? 1 : 0);
@@ -626,10 +623,8 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
                       ? st.backoff_max_ns
                       : static_cast<net::Nanos>(grown);
       }
-      const net::Nanos t0 = ctx.now();
       set_phase(PoolPhase::kParked);
       ctx.compute(pause);
-      w.stats_.search_time_ns += ctx.now() - t0;
       set_phase(PoolPhase::kProbing);
     }
   }
@@ -672,6 +667,12 @@ WorkerStats TaskPool::run_pe(pgas::PeContext& ctx,
   ps.active = false;
   w.stats_.phase_ns = ps.accrued;
   w.stats_.accounted_ns = ps.end - ps.base;
+  const auto phase = [&](PoolPhase p) {
+    return ps.accrued[static_cast<std::size_t>(p)];
+  };
+  w.stats_.steal_time_ns = phase(PoolPhase::kStealing);
+  w.stats_.search_time_ns =
+      phase(PoolPhase::kProbing) + phase(PoolPhase::kParked);
   last_stats_[static_cast<std::size_t>(ctx.pe())] = w.stats_;
   ps.live = nullptr;
   return w.stats_;
@@ -760,12 +761,6 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& reg) const {
       reg.set(ok, pe, s.steals_ok_by_tier[static_cast<std::size_t>(t - 1)]);
     }
   }
-  set_worker("pool.steal_time_ns", "time in successful steals",
-             [](const WorkerStats& s) { return s.steal_time_ns; });
-  set_worker("pool.search_time_ns", "failed attempts + backoff",
-             [](const WorkerStats& s) { return s.search_time_ns; });
-  set_worker("pool.term_check_ns", "time in termination detection",
-             [](const WorkerStats& s) { return s.term_check_ns; });
   set_worker("pool.compute_time_ns", "charged task compute",
              [](const WorkerStats& s) { return s.compute_time_ns; });
   // Exhaustive phase taxonomy: per PE the categories sum exactly to

@@ -69,8 +69,7 @@ struct MetricsSnapshot {
 
   /// Aligned human-readable table, one metric per line.
   void write_text(std::ostream& os) const;
-  /// {"schema":"sws-metrics", ...} — the format scripts/analyze_trace.py
-  /// and the CI artifacts consume.
+  /// {"schema":"sws-metrics", ...} — the format the CI artifacts carry.
   void write_json(std::ostream& os) const;
 };
 

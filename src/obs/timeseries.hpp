@@ -16,9 +16,8 @@
 //  * kLevel — the source is a level (a gauge); exports emit it verbatim.
 //
 // Exports: a compact JSON document (schema "sws-timeseries", consumed by
-// scripts/analyze_trace.py and sws-analyze --report) and Chrome-trace
-// counter rows ("ph":"C") for injection into a merged trace, one Perfetto
-// counter track per series.
+// sws-analyze --timeseries) and Chrome-trace counter rows ("ph":"C") for
+// injection into a merged trace, one Perfetto counter track per series.
 //
 // Not thread-safe by itself: sample() is designed to run under the
 // sequencer's serialization (every PE thread parked), where plain reads of

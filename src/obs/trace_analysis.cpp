@@ -507,8 +507,9 @@ AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc) {
     // victims); churn: the SDC lock bounce pattern, retries specifically.
     if (w.fails >= wc.storm_min_fails && w.fails >= 4 * w.oks)
       ++r.storm_windows;
+    // (w.fails counts the retries too, so fails + oks is every attempt.)
     if (w.retries >= wc.churn_min_retries &&
-        2 * w.retries >= w.fails + w.oks + w.retries)
+        2 * w.retries >= w.fails + w.oks)
       ++r.churn_windows;
   }
 
@@ -521,6 +522,18 @@ AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc) {
         std::to_string(rt.orphan_begins) + " begins, " +
         std::to_string(rt.orphan_ends) + " ends)");
   return r;
+}
+
+SelfCheckVerdict self_check(const AnalyzeReport& r) {
+  if (r.protocol.empty())
+    return {false, "trace carries no sws_run_meta protocol"};
+  if (r.steals_ok == 0 && r.npes != 1)
+    return {false, "no successful steals to validate"};
+  if (!r.violations.empty())
+    return {false, std::to_string(r.violations.size()) + " violation(s)"};
+  if (r.steals_ok == 0) return {true, "OK (1-PE run: no steals to validate)"};
+  return {true, "OK (" + std::to_string(r.steals_ok) + " successful " +
+                    r.protocol + " steals validated)"};
 }
 
 // ----------------------------------------------------------------- output

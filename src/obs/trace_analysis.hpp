@@ -1,6 +1,5 @@
-// Offline analysis of Tracer::dump_chrome_json output — the C++ core
-// behind tools/sws-analyze (scripts/analyze_trace.py is the pure-python
-// fallback for machines without the build tree).
+// Offline analysis of Tracer::dump_chrome_json output — the core behind
+// tools/sws-analyze, the project's one trace analyzer.
 //
 // The analyzer reconstructs steal/release/acquire spans and their child
 // fabric ops from a trace file, then derives the quantities the paper
@@ -160,6 +159,18 @@ struct AnalyzeReport {
 
 AnalyzeReport analyze(const RunTrace& rt, const WindowConfig& wc = {});
 
+/// The --self-check verdict on one analyzed trace. A trace passes when it
+/// names its protocol, shows no violations, and has successful steals
+/// whose wire shapes were validated. A 1-PE run (npes == 1 in the run
+/// metadata) has no victim to steal from, so it passes with none; any
+/// wider run without a successful steal fails — nothing was checked.
+struct SelfCheckVerdict {
+  bool ok = false;
+  std::string message;  ///< one line: "OK (...)" or why the check failed
+};
+
+SelfCheckVerdict self_check(const AnalyzeReport& r);
+
 /// Human-readable report (one metric per line, stable ordering).
 void write_report(std::ostream& os, const AnalyzeReport& r);
 /// Side-by-side A/B comparison of the headline metrics.
@@ -173,8 +184,7 @@ void write_diff(std::ostream& os, const AnalyzeReport& a,
 /// finished last, jump at each successful steal to the victim that held
 /// the tasks beforehand, back to t=0. Every nanosecond of the walked path
 /// is blamed on exactly one category (the four *_ns fields sum to
-/// path_ns) — the "where did the makespan go" view scripts/
-/// analyze_trace.py mirrors.
+/// path_ns) — the "where did the makespan go" view.
 struct CriticalPath {
   int end_pe = -1;             ///< PE whose event closes the run
   std::uint64_t path_ns = 0;   ///< walked span (== run duration)

@@ -1,7 +1,8 @@
 // Observability layer: metrics registry semantics, snapshot diff
 // windowing, time-series sampling, trace-analysis span reconstruction
-// (incl. critical path + convoy pressure), and the end-to-end protocol
-// op-shape and time-accounting claims on live 2-PE UTS/BPC traces.
+// (incl. critical path + convoy pressure), the --self-check verdict, and
+// the end-to-end protocol op-shape and time-accounting claims on live
+// UTS/BPC traces.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -389,6 +390,20 @@ TEST(TimeSeriesCheck, AccountingInvariantHoldsAndFails) {
 
 // ------------------------------------------------- trace-analysis parsing
 
+/// Dumps `t` with SWS run metadata on a flat `npes`-PE fabric and parses
+/// it back.
+RunTrace reparse_sws(const core::Tracer& t, int npes) {
+  std::ostringstream os;
+  core::TraceMeta meta;
+  meta.protocol = "sws";
+  meta.npes = npes;
+  meta.slot_bytes = 48;
+  meta.topo = "flat";
+  t.dump_chrome_json(os, meta);
+  std::istringstream is(os.str());
+  return parse_chrome_trace(is);
+}
+
 TEST(TraceAnalysis, ReconstructsSpansFromTracerDump) {
   core::Tracer t(2, 64);
   t.begin(1, 1000, core::TraceKind::kStealSpan, 77, 0);
@@ -402,15 +417,7 @@ TEST(TraceAnalysis, ReconstructsSpansFromTracerDump) {
              static_cast<std::uint64_t>(net::OpKind::kNbiAmoAdd),
              0 | (8u << 16));
   t.end(1, 2000, core::TraceKind::kStealSpan, 77, 0, 0 | (2u << 8));
-  std::ostringstream os;
-  core::TraceMeta meta;
-  meta.protocol = "sws";
-  meta.npes = 2;
-  meta.slot_bytes = 48;
-  t.dump_chrome_json(os, meta);
-
-  std::istringstream is(os.str());
-  const RunTrace rt = parse_chrome_trace(is);
+  const RunTrace rt = reparse_sws(t, 2);
   EXPECT_EQ(rt.protocol, "sws");
   EXPECT_EQ(rt.npes, 2);
   EXPECT_FALSE(rt.truncated);
@@ -440,13 +447,7 @@ TEST(TraceAnalysis, FlagsOrphansInUntruncatedTrace) {
   core::Tracer t(1, 64);
   t.begin(0, 100, core::TraceKind::kStealSpan, 5, 0);
   // No end: the span id stays open.
-  std::ostringstream os;
-  core::TraceMeta meta;
-  meta.protocol = "sws";
-  meta.npes = 1;
-  t.dump_chrome_json(os, meta);
-  std::istringstream is(os.str());
-  const RunTrace rt = parse_chrome_trace(is);
+  const RunTrace rt = reparse_sws(t, 1);
   EXPECT_EQ(rt.orphan_begins, 1u);
   const AnalyzeReport r = analyze(rt);
   ASSERT_FALSE(r.violations.empty());
@@ -471,6 +472,77 @@ TEST(TraceAnalysis, MissingTopoMetaFailsLoudly) {
   ASSERT_FALSE(r.violations.empty());
   EXPECT_NE(r.violations.front().find("topo"), std::string::npos)
       << r.violations.front();
+}
+
+TEST(TraceAnalysis, BulkSwsShapeAdmittedExtraAmoRejected) {
+  // A bulk claim of 4 blocks: one fetch-add, one coalesced get, one
+  // completion add per block. Then a steal with a second fetch-add.
+  core::Tracer t(2, 64);
+  const auto op = [&](std::uint64_t span, net::Nanos ts, net::OpKind k) {
+    t.complete(1, ts, 10, core::TraceKind::kFabricOp, span,
+               static_cast<std::uint64_t>(k), 0 | (8u << 16));
+  };
+  t.begin(1, 100, core::TraceKind::kStealSpan, 1, 0);
+  op(1, 110, net::OpKind::kAmoFetchAdd);
+  op(1, 130, net::OpKind::kGet);
+  for (int i = 0; i < 4; ++i) op(1, 150 + 10 * i, net::OpKind::kNbiAmoAdd);
+  t.end(1, 200, core::TraceKind::kStealSpan, 1, 0, 0 | (4u << 8));
+  AnalyzeReport r = analyze(reparse_sws(t, 2));
+  EXPECT_TRUE(r.violations.empty()) << r.violations.front();
+  EXPECT_EQ(r.signatures.begin()->first, "amo_fetch_add:1 get:1 nbi_amo_add:4");
+
+  t.begin(1, 300, core::TraceKind::kStealSpan, 2, 0);
+  op(2, 310, net::OpKind::kAmoFetchAdd);
+  op(2, 320, net::OpKind::kAmoFetchAdd);
+  op(2, 330, net::OpKind::kGet);
+  op(2, 350, net::OpKind::kNbiAmoAdd);
+  t.end(1, 400, core::TraceKind::kStealSpan, 2, 0, 0 | (1u << 8));
+  r = analyze(reparse_sws(t, 2));
+  ASSERT_FALSE(r.violations.empty());
+  EXPECT_NE(r.violations.front().find("exactly 1 remote fetch-add"),
+            std::string::npos)
+      << r.violations.front();
+}
+
+TEST(TraceAnalysis, StormAndChurnWindowsCounted) {
+  // 1 µs windows. Window 0: 16 empty attempts, no success — a storm.
+  // Window 1: 8 retries + 8 successes — churn (retries are half of all
+  // attempts). Window 2: 8 retries + 9 successes — neither.
+  core::Tracer t(2, 1024);
+  std::uint64_t id = 0;
+  const auto attempt = [&](net::Nanos ts, std::uint64_t outcome) {
+    ++id;
+    t.begin(1, ts, core::TraceKind::kStealSpan, id, 0);
+    t.end(1, ts + 5, core::TraceKind::kStealSpan, id, 0, outcome);
+  };
+  for (int i = 0; i < 16; ++i) attempt(10 + 50 * i, 1);
+  for (int i = 0; i < 8; ++i) attempt(1000 + 50 * i, 2);
+  for (int i = 0; i < 8; ++i) attempt(1500 + 50 * i, 0);
+  for (int i = 0; i < 8; ++i) attempt(2000 + 50 * i, 2);
+  for (int i = 0; i < 9; ++i) attempt(2500 + 50 * i, 0);
+  std::ostringstream os;
+  t.dump_chrome_json(os);
+  std::istringstream is(os.str());
+  const AnalyzeReport r =
+      analyze(parse_chrome_trace(is), WindowConfig{.window_ns = 1000});
+  EXPECT_EQ(r.steals_empty, 16u);
+  EXPECT_EQ(r.steals_retry, 16u);
+  EXPECT_EQ(r.storm_windows, 1u);
+  EXPECT_EQ(r.churn_windows, 1u);
+  EXPECT_EQ(r.peak_window_fails, 16u);
+}
+
+TEST(TraceAnalysis, SelfCheckFailsMultiPeTraceWithoutSteals) {
+  // Two PEs, one failed attempt: no steal shape was validated, so it fails.
+  core::Tracer t(2, 64);
+  t.begin(1, 100, core::TraceKind::kStealSpan, 1, 0);
+  t.end(1, 200, core::TraceKind::kStealSpan, 1, 0, 1);
+  const AnalyzeReport r = analyze(reparse_sws(t, 2));
+  EXPECT_TRUE(r.violations.empty()) << r.violations.front();
+  const SelfCheckVerdict v = self_check(r);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.message.find("no successful steals"), std::string::npos)
+      << v.message;
 }
 
 // ------------------------------------ critical path + convoy (synthetic)
@@ -561,9 +633,9 @@ struct UtsRun {
   MetricsSnapshot metrics;
 };
 
-UtsRun run_uts_traced(core::QueueKind kind) {
+UtsRun run_uts_traced(core::QueueKind kind, int npes = 2) {
   pgas::RuntimeConfig rcfg;
-  rcfg.npes = 2;
+  rcfg.npes = npes;
   rcfg.metrics = true;
   pgas::Runtime rt(rcfg);
 
@@ -610,6 +682,18 @@ TEST(TraceAnalysisLive, SwsStealIsOneFetchAddOneGet) {
   EXPECT_EQ(r.signatures.begin()->first, "amo_fetch_add:1 get:1 nbi_amo_add:1");
   EXPECT_DOUBLE_EQ(r.ops_per_success, 3.0);
   EXPECT_DOUBLE_EQ(r.blocking_per_success, 2.0);
+  EXPECT_TRUE(self_check(r).ok) << self_check(r).message;
+}
+
+TEST(TraceAnalysisLive, SelfCheckPassesSoloRun) {
+  for (const auto kind : {core::QueueKind::kSws, core::QueueKind::kSdc}) {
+    // A 1-PE run has no victim: zero steals, and still a clean trace.
+    const AnalyzeReport r = run_uts_traced(kind, 1).report;
+    EXPECT_EQ(r.npes, 1);
+    EXPECT_EQ(r.steal_spans, 0u);
+    const SelfCheckVerdict v = self_check(r);
+    EXPECT_TRUE(v.ok) << v.message;
+  }
 }
 
 TEST(TraceAnalysisLive, SdcStealIsSixOpSequence) {
@@ -625,6 +709,7 @@ TEST(TraceAnalysisLive, SdcStealIsSixOpSequence) {
             "amo_cswap:1 amo_set:1 get:2 nbi_amo_set:1 put:1");
   EXPECT_DOUBLE_EQ(r.ops_per_success, 6.0);
   EXPECT_DOUBLE_EQ(r.blocking_per_success, 5.0);
+  EXPECT_TRUE(self_check(r).ok) << self_check(r).message;
 }
 
 TEST(TraceAnalysisLive, CrashModeShapesAdmittedAndSummarized) {
@@ -704,6 +789,15 @@ void expect_accounting_exact(const core::TaskPool& pool, int npes,
                                            w.phase_ns.end(), net::Nanos{0});
     EXPECT_EQ(sum, w.accounted_ns) << what << " pe " << pe;
     EXPECT_GT(w.accounted_ns, 0u) << what << " pe " << pe;
+    // The paper's steal/search time are read off the same clocks.
+    const auto phase = [&](core::PoolPhase p) {
+      return w.phase_ns[static_cast<std::size_t>(p)];
+    };
+    EXPECT_EQ(w.steal_time_ns, phase(core::PoolPhase::kStealing))
+        << what << " pe " << pe;
+    EXPECT_EQ(w.search_time_ns, phase(core::PoolPhase::kProbing) +
+                                    phase(core::PoolPhase::kParked))
+        << what << " pe " << pe;
   }
 }
 

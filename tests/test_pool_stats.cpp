@@ -37,7 +37,7 @@ TEST(PoolRunReport, AggregatesPerPeDistributions) {
   EXPECT_DOUBLE_EQ(r.per_pe_executed.mean(), 25.0);
   EXPECT_DOUBLE_EQ(r.per_pe_executed.min(), 10.0);
   EXPECT_DOUBLE_EQ(r.per_pe_executed.max(), 40.0);
-  EXPECT_DOUBLE_EQ(r.per_pe_steal_ms.max(), 3.0);
+  EXPECT_EQ(r.total.steal_time_ns, 6'000'000u) << "steal time sums";
 }
 
 TEST(PoolRunReport, ToStringMentionsKeyNumbers) {

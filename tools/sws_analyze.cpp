@@ -17,7 +17,8 @@
 // The self-check is what CI runs on every push: each successful SWS steal
 // must be exactly one remote fetch-add + one task-copy get (+ one nbi
 // completion add); each successful SDC steal must show the six-op
-// lock/fetch/claim/unlock/copy/notify sequence (paper Fig 2).
+// lock/fetch/claim/unlock/copy/notify sequence (paper Fig 2). A trace
+// with no successful steal fails it, unless the run had a single PE.
 
 #include <cstdint>
 #include <exception>
@@ -34,6 +35,21 @@ int usage() {
             << "       sws-analyze --diff <a.json> <b.json>\n"
             << "       options: --window-ns=N --timeseries=FILE\n";
   return 2;
+}
+
+/// Summarizes an sws-timeseries document and checks its accounting
+/// invariant; returns the exit code (1 on any mismatched window).
+int check_timeseries(const std::string& file) {
+  const auto ts = sws::obs::parse_timeseries_file(file);
+  sws::obs::write_timeseries_summary(std::cout, ts);
+  const auto errs = sws::obs::check_accounting(ts);
+  for (const std::string& e : errs) std::cerr << "  ! " << e << "\n";
+  if (!errs.empty()) {
+    std::cerr << "accounting self-check: FAILED\n";
+    return 1;
+  }
+  std::cout << "accounting self-check: OK (" << ts.t.size() << " windows)\n";
+  return 0;
 }
 
 }  // namespace
@@ -80,19 +96,8 @@ int main(int argc, char** argv) {
 
     // --timeseries alone (no trace) is a valid invocation: summarize and
     // self-check the sampled document.
-    if (files.empty() && !timeseries_file.empty() && !self_check) {
-      const auto ts = sws::obs::parse_timeseries_file(timeseries_file);
-      sws::obs::write_timeseries_summary(std::cout, ts);
-      const auto errs = sws::obs::check_accounting(ts);
-      for (const std::string& e : errs) std::cerr << "  ! " << e << "\n";
-      if (!errs.empty()) {
-        std::cerr << "accounting self-check: FAILED\n";
-        return 1;
-      }
-      std::cout << "accounting self-check: OK (" << ts.t.size()
-                << " windows)\n";
-      return 0;
-    }
+    if (files.empty() && !timeseries_file.empty() && !self_check)
+      return check_timeseries(timeseries_file);
 
     if (files.size() != 1) return usage();
     const auto rt = sws::obs::parse_chrome_trace_file(files[0]);
@@ -104,37 +109,14 @@ int main(int argc, char** argv) {
       sws::obs::write_convoy(std::cout, sws::obs::convoy_report(rt, wc));
     }
 
-    int rc = 0;
-    if (!timeseries_file.empty()) {
-      const auto ts = sws::obs::parse_timeseries_file(timeseries_file);
-      sws::obs::write_timeseries_summary(std::cout, ts);
-      const auto errs = sws::obs::check_accounting(ts);
-      for (const std::string& e : errs) std::cerr << "  ! " << e << "\n";
-      if (!errs.empty()) {
-        std::cerr << "accounting self-check: FAILED\n";
-        rc = 1;
-      } else {
-        std::cout << "accounting self-check: OK (" << ts.t.size()
-                  << " windows)\n";
-      }
-    }
+    const int rc =
+        timeseries_file.empty() ? 0 : check_timeseries(timeseries_file);
 
     if (self_check) {
-      if (report.protocol.empty()) {
-        std::cerr << "self-check: trace carries no sws_run_meta protocol\n";
-        return 1;
-      }
-      if (report.steals_ok == 0) {
-        std::cerr << "self-check: no successful steals to validate\n";
-        return 1;
-      }
-      if (!report.violations.empty()) {
-        std::cerr << "self-check: " << report.violations.size()
-                  << " violation(s)\n";
-        return 1;
-      }
-      std::cout << "self-check: OK (" << report.steals_ok << " successful "
-                << report.protocol << " steals validated)\n";
+      const auto verdict = sws::obs::self_check(report);
+      (verdict.ok ? std::cout : std::cerr)
+          << "self-check: " << verdict.message << "\n";
+      if (!verdict.ok) return 1;
     }
     return rc;
   } catch (const std::exception& e) {
